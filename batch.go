@@ -87,9 +87,8 @@ func (w *World) batchShardOf(group []dataset.UserID) int {
 // computed once per distinct (group, NumItems) pair, and because
 // identical candidate slices fingerprint identically, every member
 // shared by two requests reuses the same materialized sorted-list
-// store view (and pool→candidate mapping) — or, on the dense fallback
-// path, the same prediction row in the CF row cache — instead of
-// re-scoring and re-sorting.
+// store view (and pool→candidate mapping) instead of re-scoring and
+// re-sorting.
 //
 // Fully identical requests — same group order, same result-shaping
 // options — collapse further: one representative runs, the duplicates

@@ -1,12 +1,12 @@
 // Command greca-serve exposes the recommendation engine over HTTP,
 // coalescing concurrent single-group requests into RecommendBatch
-// windows so the engine's shared candidate pools and prediction-row
-// cache pay off under live traffic.
+// windows so the engine's shared candidate pools and sorted-list views
+// pay off under live traffic.
 //
 // Usage:
 //
 //	greca-serve [-addr :8080] [-window 5ms] [-maxbatch 64] [-maxpending 0]
-//	            [-ratings ratings.dat] [-seed N] [-rowcache 1024]
+//	            [-ratings ratings.dat] [-seed N]
 //	            [-liststore 1024] [-shards 1] [-shards-config topology.json]
 //	            [-remote-viewcache 0] [-workers N] [-recheck-workers N] [-snapshot dir]
 //	            [-refreeze 0] [-pprof localhost:6060] [-v]
@@ -35,8 +35,8 @@
 // -shards partitions every per-user structure (rating arenas, CF
 // caches, sorted-list sub-stores, affinity pair tables) N ways by
 // hashing on UserID; recommendations are identical for every shard
-// count. -rowcache, -liststore, and -shards must be positive — a
-// zero or negative size is a usage error, not a silent clamp.
+// count. -liststore and -shards must be positive — a zero or negative
+// size is a usage error, not a silent clamp.
 //
 // -shards-config switches the shards into worker processes: it names
 // a JSON topology file ({"shards": 4, "workers": [{"addr":
@@ -46,24 +46,26 @@
 // every ingested rating out to all replicas, and reports the workers'
 // cache counters under /v1/stats — serving byte-identical responses
 // to the in-process world at the same shard count. Workers must be
-// started first (same world flags: -seed, -ratings, -rowcache,
-// -liststore, -shards) — the boot handshake refuses a worker built
-// from a different world. A worker dying degrades only the shards it
-// owns: reads touching them answer 503 ("shard_unavailable") with
-// Retry-After, or 504 ("shard_timeout") on deadline, while other
-// shards keep serving; rating ingest stays accepted (durable locally
-// and on live replicas) with missed fanout deliveries counted in
-// /v1/stats and the lagging worker fenced from serving.
+// started first (same world flags: -seed, -ratings, -liststore,
+// -shards) and from the same build — the boot handshake refuses a
+// worker built from a different world. A worker dying degrades only
+// the shards it owns: reads touching them answer 503
+// ("shard_unavailable") with Retry-After, or 504 ("shard_timeout") on
+// deadline, while other shards keep serving; rating ingest stays
+// accepted (durable locally and on live replicas) with missed fanout
+// deliveries counted in /v1/stats and the lagging worker fenced from
+// serving.
 //
-// -remote-viewcache keeps up to N fetched member views warm on the
-// router, fenced by the global apply sequence: each ingested rating's
-// scoped-invalidation verdict (relayed in the workers' apply acks)
-// drops or patches exactly the cached views it could have touched, so
-// a warm hit serves bytes identical to a fresh fetch. Off by default
-// (0); only meaningful with -shards-config.
+// -remote-viewcache keeps up to N member views fetched from workers in
+// the router's sorted-list store, swept like the workers' own: each
+// ingested rating's scoped-invalidation verdict (relayed in the
+// workers' apply acks) drops or patches exactly the views it could
+// have touched, and a fence refuses any view fetched before the sweep,
+// so a warm hit serves bytes identical to a fresh fetch. Off by
+// default (0); it requires -shards-config, and a negative value is a
+// usage error.
 //
-// Endpoints (API v1; the unversioned routes are compatibility
-// aliases):
+// Endpoints (API v1; the unversioned routes are gone and answer 404):
 //
 //	POST /v1/recommend         {"group":[1,5,9],"k":10,"num_items":3900,
 //	                            "consensus":"AP","model":"discrete","period":0,
@@ -125,19 +127,23 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/cf"
 	"repro/internal/liststore"
 	"repro/internal/remote"
 	"repro/internal/server"
 )
 
-// requirePositive rejects non-positive size flags with a clean usage
-// error (exit 2, like flag's own failures).
+// usageFail rejects a bad flag value with a clean usage error (exit
+// 2, like flag's own failures).
+func usageFail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "greca-serve: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
+// requirePositive rejects non-positive size flags.
 func requirePositive(name string, v int) {
 	if v <= 0 {
-		fmt.Fprintf(os.Stderr, "greca-serve: %s must be positive, got %d\n", name, v)
-		flag.Usage()
-		os.Exit(2)
+		usageFail("%s must be positive, got %d", name, v)
 	}
 }
 
@@ -152,11 +158,10 @@ func main() {
 		maxPending = flag.Int("maxpending", 0, "parked-caller bound; beyond it requests are shed with 429 (0 = unbounded)")
 		ratings    = flag.String("ratings", "", "optional MovieLens-format ratings file (UserID::MovieID::Rating::Timestamp)")
 		seed       = flag.Int64("seed", 1, "synthetic world seed")
-		rowCache   = flag.Int("rowcache", cf.DefaultRowCacheCap, "prediction-row cache size (must be positive)")
 		listStore  = flag.Int("liststore", liststore.DefaultMaxUsers, "sorted-list store user-view bound (must be positive)")
 		shards     = flag.Int("shards", 1, "user-range shard count (must be positive; 1 = unsharded)")
 		shardsConf = flag.String("shards-config", "", "JSON topology file mapping shards to greca-shard workers (empty = in-process shards)")
-		viewCache  = flag.Int("remote-viewcache", 0, "router-side remote view cache capacity in views (0 = disabled; only meaningful with -shards-config)")
+		viewCache  = flag.Int("remote-viewcache", 0, "views fetched from workers the router keeps in its sorted-list store (0 = none; requires -shards-config)")
 		workers    = flag.Int("workers", 0, "assembly workers per request (0 = GOMAXPROCS)")
 		recheck    = flag.Int("recheck-workers", 0, "scoped-invalidation recheck pool size (0 = min(4, GOMAXPROCS); negative = serial)")
 		snapshot   = flag.String("snapshot", "", "persistence directory: warm-restart snapshot + rating WAL (empty = no persistence)")
@@ -169,14 +174,18 @@ func main() {
 	// Size flags must be positive: a zero or negative cache, store, or
 	// shard count is a configuration mistake, answered with usage
 	// instead of a silently clamped default.
-	requirePositive("-rowcache", *rowCache)
 	requirePositive("-liststore", *listStore)
 	requirePositive("-shards", *shards)
+	if *viewCache < 0 {
+		usageFail("-remote-viewcache must not be negative, got %d", *viewCache)
+	}
+	if *viewCache > 0 && *shardsConf == "" {
+		usageFail("-remote-viewcache %d requires -shards-config", *viewCache)
+	}
 
 	cfg := repro.QuickConfig()
 	cfg.Dataset.Seed = *seed
 	cfg.Social.Seed = *seed + 1
-	cfg.RowCacheSize = *rowCache
 	cfg.ListStoreSize = *listStore
 	cfg.Shards = *shards
 	cfg.AssemblyWorkers = *workers

@@ -24,7 +24,7 @@
 //
 // Several groups may be given separated by ";" — they are then scored
 // concurrently through World.RecommendBatch, sharing candidate pools
-// and cached prediction rows across groups.
+// and sorted-list views across groups.
 //
 // -deadline bounds the whole computation: when it expires, in-flight
 // runs stop within one stopping-check interval; groups already scored

@@ -359,6 +359,17 @@ func (p *Predictor) norm(u dataset.UserID) float64 {
 // yield the identical slice and one wins the cache, so the race is
 // benign and never holds a lock during the O(users) scan.
 func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
+	ns, _ := p.neighbors(u)
+	return ns
+}
+
+// neighbors is Neighbors plus whether the returned neighborhood is
+// tracked by the cache — a hit, or a fill that installed or met a
+// concurrent fill's install. It is untracked only when an ingest
+// overtook the fill (the epoch fence refused the install): the
+// ingest's recheck never saw it, so its stale set cannot vouch for
+// anything computed from it.
+func (p *Predictor) neighbors(u dataset.UserID) ([]Neighbor, bool) {
 	pp := p.part(u)
 	sh := &pp.shards[shardIndex(uint64(u))]
 	sh.mu.RLock()
@@ -366,7 +377,7 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 	sh.mu.RUnlock()
 	if ok {
 		pp.counters.hit()
-		return ns
+		return ns, true
 	}
 	pp.counters.miss()
 
@@ -404,7 +415,7 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 	// index keep that rollback from stripping an overlapping fill's
 	// identical edges.
 	p.deps.add(u, coraters)
-	installed := false
+	installed, tracked := false, true
 	sh.mu.Lock()
 	if cached, ok := sh.neighbors[u]; ok {
 		ns = cached // a concurrent computation won; keep one canonical slice
@@ -412,12 +423,14 @@ func (p *Predictor) Neighbors(u dataset.UserID) []Neighbor {
 		sh.neighbors[u] = ns
 		sh.coraters[u] = coraters
 		installed = true
+	} else {
+		tracked = false
 	}
 	sh.mu.Unlock()
 	if !installed {
 		p.deps.remove(u, coraters)
 	}
-	return ns
+	return ns, tracked
 }
 
 // Predict returns the predicted rating of u for item it on the 1..5
@@ -490,7 +503,11 @@ func (p *Predictor) batchIntoDeps(u dataset.UserID, items []dataset.ItemID, dst 
 	nSlots := len(bs.slotItem)
 	num := make([]float64, nSlots)
 	den := make([]float64, nSlots)
-	for _, nb := range p.Neighbors(u) {
+	nbs, tracked := p.neighbors(u)
+	if deps != nil && !tracked {
+		deps.Untracked = true
+	}
+	for _, nb := range nbs {
 		rs := p.store.ByUser(nb.User)
 		for ri, r := range rs {
 			if ri > 0 && rs[ri-1].Item == r.Item {

@@ -8,8 +8,8 @@ import "repro/internal/dataset"
 // is agnostic to the apref producer ("existing single-user
 // recommendation algorithms ... could be used"); Source is where that
 // agnosticism lives in code. All three predictors in this package
-// implement it, as does the CachedSource row-cache wrapper, so the
-// assembly layer never dispatches on concrete predictor types.
+// implement it, so the assembly layer never dispatches on concrete
+// predictor types.
 //
 // PredictBatch must be equivalent to calling Predict per item — same
 // values, computed once per (user, item) — but is free to resolve
@@ -22,9 +22,7 @@ type Source interface {
 	// item and global means when coverage is missing.
 	Predict(u dataset.UserID, it dataset.ItemID) float64
 	// PredictBatch returns predictions of u for every item in items,
-	// in order. The returned slice is owned by the caller unless the
-	// implementation documents otherwise (CachedSource returns shared
-	// read-only rows).
+	// in order. The returned slice is owned by the caller.
 	PredictBatch(u dataset.UserID, items []dataset.ItemID) []float64
 }
 
@@ -54,6 +52,11 @@ type RowDeps struct {
 	// the global mean (its item had no ratings at all); such a row is
 	// stale after every ingest.
 	UsedGlobal bool
+	// Untracked reports that the row was computed from a neighborhood
+	// an ingest overtook mid-fill, so the cache never held it and that
+	// ingest's stale set says nothing about it: a cache must treat the
+	// row's dependencies as unknown.
+	Untracked bool
 }
 
 // Fallback records one fallback entry.
@@ -78,9 +81,8 @@ func (d *RowDeps) DependsOn(it dataset.ItemID) bool {
 // DepsSource is the optional Source extension scoped invalidation
 // requires: PredictBatchDeps is PredictBatch that also reports the
 // row's fallback dependencies, bit-identical to the plain path. The
-// row cache and the sorted-list store record the metadata at fill time
-// so an ingest can prove most cached rows untouched instead of
-// dropping them.
+// sorted-list store records the metadata at build time so an ingest
+// can prove most cached views untouched instead of dropping them.
 type DepsSource interface {
 	Source
 	PredictBatchDeps(u dataset.UserID, items []dataset.ItemID) ([]float64, RowDeps)
@@ -91,11 +93,9 @@ var (
 	_ Source     = (*Predictor)(nil)
 	_ Source     = (*ItemPredictor)(nil)
 	_ Source     = (*TimeWeightedPredictor)(nil)
-	_ Source     = (*CachedSource)(nil)
 	_ BatchInto  = (*Predictor)(nil)
 	_ BatchInto  = (*ItemPredictor)(nil)
 	_ BatchInto  = (*TimeWeightedPredictor)(nil)
-	_ BatchInto  = (*CachedSource)(nil)
 	_ DepsSource = (*Predictor)(nil)
 	_ DepsSource = (*ItemPredictor)(nil)
 	_ DepsSource = (*TimeWeightedPredictor)(nil)
@@ -126,4 +126,28 @@ func newBatchSlots(items []dataset.ItemID) *batchSlots {
 		bs.slotOf[i] = s
 	}
 	return bs
+}
+
+// FingerprintItems hashes a candidate slice with FNV-1a over the raw
+// item IDs — the canonical candidate-set fingerprint of the engine,
+// shared by the sorted-list store's mapping memo and the run
+// multiplexer's request key. Together with the slice length in the
+// key, collisions would need two same-length candidate sets hashing
+// identically — vanishing for the popularity-derived sets these keys
+// see.
+func FingerprintItems(items []dataset.ItemID) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, it := range items {
+		v := uint64(it)
+		for b := 0; b < 8; b++ {
+			h ^= v & 0xff
+			h *= prime64
+			v >>= 8
+		}
+	}
+	return h
 }

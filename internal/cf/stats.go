@@ -5,8 +5,9 @@ import "sync/atomic"
 // CacheStats is a point-in-time snapshot of one cache's counters — the
 // observability surface the serving layer's /stats endpoint exposes.
 // Hits and Misses count lookups; Evictions counts entries dropped by
-// capacity pressure (always zero for the predictors' lazy caches,
-// which only grow); Size is the current entry count.
+// capacity pressure; Size is the current entry count. The predictors'
+// lazy caches only grow and are never patched, so their Evictions and
+// Patched stay zero; the fields keep the /stats shape stable.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -25,20 +26,10 @@ type CacheStats struct {
 	Patched     uint64 `json:"patched"`
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // StatsSource is implemented by every cache in this package that
-// exposes counters: the three predictors (their lazy neighborhood
-// caches) and CachedSource (the prediction-row cache). The serving
-// layer discovers counters through this interface instead of
-// dispatching on concrete types.
+// exposes counters: the three predictors' lazy neighborhood caches.
+// The serving layer discovers counters through this interface instead
+// of dispatching on concrete types.
 type StatsSource interface {
 	Stats() CacheStats
 }
@@ -58,7 +49,6 @@ var (
 	_ ShardStatsSource = (*Predictor)(nil)
 	_ ShardStatsSource = (*ItemPredictor)(nil)
 	_ ShardStatsSource = (*TimeWeightedPredictor)(nil)
-	_ ShardStatsSource = (*CachedSource)(nil)
 )
 
 // sumStats folds per-shard snapshots into the aggregate view.
@@ -83,20 +73,12 @@ func sumStats(parts []CacheStats) CacheStats {
 type cacheCounters struct {
 	hits        atomic.Uint64
 	misses      atomic.Uint64
-	evictions   atomic.Uint64
 	invalidated atomic.Uint64
 	retained    atomic.Uint64
-	patched     atomic.Uint64
 }
 
 func (c *cacheCounters) hit()  { c.hits.Add(1) }
 func (c *cacheCounters) miss() { c.misses.Add(1) }
-
-func (c *cacheCounters) evict(n int) {
-	if n > 0 {
-		c.evictions.Add(uint64(n))
-	}
-}
 
 func (c *cacheCounters) invalidate(n int) {
 	if n > 0 {
@@ -110,21 +92,13 @@ func (c *cacheCounters) retain(n int) {
 	}
 }
 
-func (c *cacheCounters) patch(n int) {
-	if n > 0 {
-		c.patched.Add(uint64(n))
-	}
-}
-
 // snapshot pairs the counters with the current entry count.
 func (c *cacheCounters) snapshot(size int) CacheStats {
 	return CacheStats{
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
 		Size:        size,
 		Invalidated: c.invalidated.Load(),
 		Retained:    c.retained.Load(),
-		Patched:     c.patched.Load(),
 	}
 }

@@ -4,9 +4,8 @@
 // store can serve the group, pre-sorted view/patch sets that let the
 // core merge instead of re-sort. Rows fill concurrently over a worker
 // pool and recycle through a sync.Pool. The assembler sits between the
-// preference layer (cf.Source, possibly wrapped in a cf.CachedSource,
-// beside the liststore.Store) and the core problem builders; see
-// DESIGN.md.
+// preference layer (the active cf.Source predictor, beside the
+// liststore.Store) and the core problem builders; see DESIGN.md.
 package engine
 
 import (

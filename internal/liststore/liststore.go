@@ -7,13 +7,16 @@
 // prediction and one sort per user at ingest, amortize them across the
 // sweep traffic.
 //
-// A Store sits beside the cf row cache in the preference layer: the
-// engine asks it for (view, pool→candidate mapping) pairs, falls back
-// to dense assembly when the store is disabled, and routes only the
-// uncovered remainder of a candidate slice (the patch set) through the
-// predictor. Views are immutable once built; rating ingest must
-// Invalidate the affected users, which drops their views for rebuild on
-// next use. See DESIGN.md's "Sorted-list store" section.
+// A Store is the engine's one per-user view cache: the engine asks it
+// for (view, pool→candidate mapping) pairs, falls back to dense
+// assembly when the store is disabled, and routes only the uncovered
+// remainder of a candidate slice (the patch set) through the predictor.
+// Views are immutable once built; rating ingest must Invalidate the
+// affected users, which drops their views for rebuild on next use.
+// Views built elsewhere — a distributed router's views fetched from
+// the shard workers — enter through Lookup and Install instead of
+// Acquire, fenced against ingest sweeps by a sweep counter. See
+// DESIGN.md's "Sorted-list store" section.
 //
 // The Store is a thin fan-out over per-shard sub-stores: a shard.Map
 // routes each user to the part holding its view slot, and every part
@@ -98,6 +101,13 @@ type Stats struct {
 	// WarmLoads counts views installed from a snapshot restore instead
 	// of built — the warm-restart observability hook.
 	WarmLoads uint64 `json:"warm_loads"`
+	// LookupMisses counts Lookup calls that found no settled view;
+	// Installs counts views accepted by Install and Rejected the ones
+	// its sweep fence refused. All three stay zero on a store that only
+	// builds its views.
+	LookupMisses uint64 `json:"lookup_misses"`
+	Installs     uint64 `json:"installs"`
+	Rejected     uint64 `json:"rejected"`
 	// PatchItems is the total number of candidate items served through
 	// patch sets instead of views (uncovered remainder of a slice).
 	PatchItems uint64 `json:"patch_items"`
@@ -206,9 +216,16 @@ type Store struct {
 	mapMu sync.Mutex
 	maps  map[mapKey]*Mapping
 
-	patchItems atomic.Uint64
-	mapHits    atomic.Uint64
-	mapMisses  atomic.Uint64
+	// sweeps counts InvalidateScoped and InvalidateAll calls: the fence
+	// token Install checks against the one read before a fetch.
+	sweeps atomic.Uint64
+
+	patchItems   atomic.Uint64
+	mapHits      atomic.Uint64
+	mapMisses    atomic.Uint64
+	lookupMisses atomic.Uint64
+	installs     atomic.Uint64
+	rejected     atomic.Uint64
 }
 
 type mapKey struct {
@@ -312,8 +329,8 @@ func (s *Store) Acquire(u dataset.UserID) *View {
 // dependencies: the mean-fallback metadata scoped invalidation reads.
 // depsKnown is false when the source could not report them (a
 // non-DepsSource, or a snapshot-restored view) — the remote data plane
-// relays this over the wire so the router's view cache knows whether a
-// cached view can be patched through an ingest or must be dropped.
+// relays this over the wire so the router's store knows whether an
+// installed view can be patched through an ingest or must be dropped.
 func (s *Store) AcquireWithDeps(u dataset.UserID) (*View, cf.RowDeps, bool) {
 	v := s.Acquire(u)
 	if v == nil {
@@ -333,6 +350,78 @@ func (s *Store) AcquireWithDeps(u dataset.UserID) (*View, cf.RowDeps, bool) {
 	// immutable), but its dependency metadata is gone — report it
 	// unknown so the caller treats the view as unpatchable.
 	return v, cf.RowDeps{}, false
+}
+
+// Lookup returns u's settled view without building one, or nil — the
+// read side of a store whose views arrive through Install. A hit
+// counts as a view hit and grants the CLOCK second chance; a miss
+// counts in LookupMisses.
+func (s *Store) Lookup(u dataset.UserID) *View {
+	p := s.part(u)
+	p.mu.Lock()
+	var v *View
+	if e, ok := p.entries[u]; ok {
+		if v = e.viewOf(); v != nil {
+			e.ref.Store(true)
+		}
+	}
+	p.mu.Unlock()
+	if v == nil {
+		s.lookupMisses.Add(1)
+		return nil
+	}
+	p.viewHits.Add(1)
+	return v
+}
+
+// SweepToken returns the fence token for Install: read it before
+// fetching a view from elsewhere, hand it to Install after.
+func (s *Store) SweepToken() uint64 { return s.sweeps.Load() }
+
+// Install caches a view built outside the store (fetched from the
+// worker owning u) with the dependency metadata its build reported.
+// token is SweepToken read before the fetch began. Every sweep bumps
+// the counter before it takes any part lock, and Install re-reads it
+// under u's part lock, so an install either lands before the sweep
+// visits u's part — and gets the sweep's verdict like a built view —
+// or is refused and counted in Rejected: a view that may predate an
+// ingest never outlives that ingest's sweep. A refused view still
+// serves the request that fetched it. An incumbent view wins (both
+// came from the same ingest history); a view whose length does not
+// match the pool is never cached. Reports whether v was installed.
+func (s *Store) Install(u dataset.UserID, v *View, deps cf.RowDeps, depsKnown bool, token uint64) bool {
+	if v == nil || len(v.Scores) != len(s.pool) {
+		return false
+	}
+	p := s.part(u)
+	p.mu.Lock()
+	if s.sweeps.Load() != token {
+		p.mu.Unlock()
+		s.rejected.Add(1)
+		return false
+	}
+	if e, ok := p.entries[u]; ok {
+		e.ref.Store(true)
+		p.mu.Unlock()
+		return false
+	}
+	p.evictLocked()
+	p.installLocked(u, &builtView{view: v, deps: deps, depsKnown: depsKnown})
+	p.mu.Unlock()
+	s.installs.Add(1)
+	return true
+}
+
+// installLocked links a settled view for u, its build-once consumed so
+// the next Acquire is a hit. Callers hold the part's mu and have made
+// room.
+func (p *storePart) installLocked(u dataset.UserID, b *builtView) {
+	e := &userEntry{}
+	e.ref.Store(true)
+	e.once.Do(func() { e.built.Store(b) })
+	p.entries[u] = e
+	p.ring = append(p.ring, u)
+	delete(p.invalidated, u)
 }
 
 // evictLocked makes room for one more view via CLOCK: sweep the ring,
@@ -358,7 +447,9 @@ func (p *storePart) evictLocked() {
 // build materializes one user's view: one batch prediction over the
 // pool, normalized, plus one canonical sort — the pay-once cost the
 // store amortizes. When the source reports dependencies, the view's
-// fallback metadata rides along for scoped invalidation.
+// fallback metadata rides along for scoped invalidation — unless the
+// row was computed from an untracked neighborhood, which leaves the
+// dependencies unknown.
 func (s *Store) build(u dataset.UserID) *builtView {
 	var (
 		raw  []float64
@@ -373,7 +464,7 @@ func (s *Store) build(u dataset.UserID) *builtView {
 	for i, v := range raw {
 		scores[i] = v / s.divisor
 	}
-	return &builtView{view: viewFromScores(scores), deps: deps, depsKnown: s.deps != nil}
+	return &builtView{view: viewFromScores(scores), deps: deps, depsKnown: s.deps != nil && !deps.Untracked}
 }
 
 // viewFromScores derives the canonical sorted side of a view from its
@@ -432,6 +523,7 @@ func (s *Store) Invalidate(u dataset.UserID) bool {
 // entry objects are unlinked here, so whatever they finish computing
 // is returned to their callers but never served again.
 func (s *Store) InvalidateAll() int {
+	s.sweeps.Add(1)
 	n := 0
 	for _, p := range s.parts {
 		p.mu.Lock()
@@ -463,6 +555,7 @@ func (s *Store) InvalidateAll() int {
 // so the spliced sequence is bit-identical to a full re-sort. Returns
 // the number of views dropped.
 func (s *Store) InvalidateScoped(stale map[dataset.UserID]struct{}, it dataset.ItemID, patch float64, havePatch bool) int {
+	s.sweeps.Add(1)
 	patchScore := patch / s.divisor
 	n := 0
 	for _, p := range s.parts {
@@ -527,7 +620,7 @@ func patchView(v *View, deps cf.RowDeps, it dataset.ItemID, patchScore float64) 
 			continue
 		}
 		scores[pos] = patchScore
-		i := searchCanonical(entries, old, pos)       // current slot of (old, pos)
+		i := searchCanonical(entries, old, pos)        // current slot of (old, pos)
 		j := searchCanonical(entries, patchScore, pos) // target slot of (new, pos)
 		moved := core.Entry{Key: pos, Value: patchScore}
 		if j > i {
@@ -539,16 +632,6 @@ func patchView(v *View, deps cf.RowDeps, it dataset.ItemID, patchScore float64) 
 		}
 	}
 	return &View{Scores: scores, Sorted: &core.SortedView{Entries: entries}}
-}
-
-// PatchView returns a copy of v with the raw post-ingest item mean
-// patch spliced into every fallback position of item it, after
-// applying divisor — exactly the in-place patch InvalidateScoped
-// performs on a retained view, exported for the router's remote view
-// cache, which holds views outside any store and must patch them with
-// the identical splice to stay bit-identical to a worker rebuild.
-func PatchView(v *View, deps cf.RowDeps, it dataset.ItemID, patch, divisor float64) *View {
-	return patchView(v, deps, it, patch/divisor)
 }
 
 // searchCanonical returns the index of (val, key) in a canonically
@@ -613,16 +696,10 @@ func (s *Store) RestoreViews(views []UserView) int {
 			p.mu.Unlock()
 			continue
 		}
-		e := &userEntry{}
-		e.ref.Store(true)
 		// Restored views carry no dependency metadata (snapshots persist
 		// scores only): depsKnown stays false, so the first scoped
 		// invalidation drops them rather than wrongly retaining them.
-		v := &builtView{view: viewFromScores(uv.Scores)}
-		e.once.Do(func() { e.built.Store(v) })
-		p.entries[uv.User] = e
-		p.ring = append(p.ring, uv.User)
-		delete(p.invalidated, uv.User)
+		p.installLocked(uv.User, &builtView{view: viewFromScores(uv.Scores)})
 		p.mu.Unlock()
 		p.warmLoads.Add(1)
 		restored++
@@ -730,10 +807,13 @@ func (s *Store) Stats() Stats {
 // two levels agree exactly and every part's lock is taken once.
 func (s *Store) StatsFrom(parts []ShardStats) Stats {
 	st := Stats{
-		PatchItems: s.patchItems.Load(),
-		MapHits:    s.mapHits.Load(),
-		MapMisses:  s.mapMisses.Load(),
-		PoolSize:   len(s.pool),
+		PatchItems:   s.patchItems.Load(),
+		MapHits:      s.mapHits.Load(),
+		MapMisses:    s.mapMisses.Load(),
+		LookupMisses: s.lookupMisses.Load(),
+		Installs:     s.installs.Load(),
+		Rejected:     s.rejected.Load(),
+		PoolSize:     len(s.pool),
 	}
 	for _, ss := range parts {
 		st.ViewHits += ss.ViewHits

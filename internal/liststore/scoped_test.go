@@ -226,3 +226,22 @@ func TestShardedInvalidateScoped(t *testing.T) {
 			sumR, sumP, st.Retained, st.Patched)
 	}
 }
+
+// TestInvalidateScopedDropsUntrackedRows: a view built from a row whose
+// neighborhood an ingest overtook carries unknown dependencies, so the
+// next scoped sweep drops it even though its user is not stale.
+func TestInvalidateScopedDropsUntrackedRows(t *testing.T) {
+	src := &depsStub{deps: map[dataset.UserID]cf.RowDeps{1: {Untracked: true}}}
+	s := New(src, testPool(4), 8, 5)
+	s.Acquire(1)
+	s.Acquire(2)
+	if _, _, known := s.AcquireWithDeps(1); known {
+		t.Error("a view built from an untracked row reports known deps")
+	}
+	if dropped := s.InvalidateScoped(nil, 10, 0, false); dropped != 1 {
+		t.Errorf("sweep dropped %d views, want 1 (the untracked u1)", dropped)
+	}
+	if s.Lookup(1) != nil || s.Lookup(2) == nil {
+		t.Error("sweep kept the untracked view or dropped the tracked one")
+	}
+}

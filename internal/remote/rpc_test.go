@@ -83,7 +83,7 @@ func (b *fakeBackend) ShardStats() []ShardStats {
 	out := make([]ShardStats, 0, len(b.owned))
 	for _, sh := range b.owned {
 		st := ShardStats{Shard: sh}
-		st.RowCache.Hits = uint64(100 + sh)
+		st.Neighborhoods.Hits = uint64(100 + sh)
 		out = append(out, st)
 	}
 	return out
@@ -350,7 +350,7 @@ func TestClientPredictApplyInvalidateStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardStats: %v", err)
 	}
-	if len(ss) != 1 || ss[0].Shard != 0 || ss[0].RowCache.Hits != 100 {
+	if len(ss) != 1 || ss[0].Shard != 0 || ss[0].Neighborhoods.Hits != 100 {
 		t.Errorf("stats = %+v", ss)
 	}
 }
@@ -793,7 +793,7 @@ func TestShardSetStatsByShard(t *testing.T) {
 		if !ok[sh] {
 			t.Errorf("shard %d not live", sh)
 		}
-		if ss[sh].Shard != sh || ss[sh].RowCache.Hits != uint64(100+sh) {
+		if ss[sh].Shard != sh || ss[sh].Neighborhoods.Hits != uint64(100+sh) {
 			t.Errorf("shard %d stats = %+v", sh, ss[sh])
 		}
 	}
@@ -841,7 +841,7 @@ func TestShardSetDeadWorkerDegradesOnlyItsShards(t *testing.T) {
 	if ok[0] || !ok[1] {
 		t.Errorf("liveness = %v, want [false true]", ok)
 	}
-	if ss[0].Shard != 0 || ss[0].RowCache.Hits != 0 {
+	if ss[0].Shard != 0 || ss[0].Neighborhoods.Hits != 0 {
 		t.Errorf("dead shard entry = %+v, want zero-valued placeholder", ss[0])
 	}
 

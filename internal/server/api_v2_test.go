@@ -12,24 +12,32 @@ import (
 	"time"
 )
 
-// TestV1AliasesServeIdentically: every legacy route and its /v1 form
-// answer the same requests with the same payloads.
-func TestV1AliasesServeIdentically(t *testing.T) {
-	w := testWorld(t)
+// TestLegacyRoutesReturn404: the unversioned routes are gone — each
+// answers 404 to its old method — while the /v1 forms keep serving.
+func TestLegacyRoutesReturn404(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	group := w.Participants()[:3]
-	body := fmt.Sprintf(`{"group":[%d,%d,%d],"k":4,"num_items":120}`, group[0], group[1], group[2])
-
-	legacyStatus, legacy := postJSON(t, ts.URL+"/recommend", body)
-	v1Status, v1 := postJSON(t, ts.URL+"/v1/recommend", body)
-	if legacyStatus != http.StatusOK || v1Status != http.StatusOK {
-		t.Fatalf("statuses %d / %d, want 200 / 200 (%s / %s)", legacyStatus, v1Status, legacy, v1)
+	for _, tc := range []struct{ method, route string }{
+		{http.MethodPost, "/recommend"},
+		{http.MethodPost, "/recommend/batch"},
+		{http.MethodPost, "/recommend/stream"},
+		{http.MethodPost, "/ratings"},
+		{http.MethodGet, "/healthz"},
+		{http.MethodGet, "/stats"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.route, strings.NewReader(`{"group":[1]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.route, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", tc.method, tc.route, resp.StatusCode)
+		}
 	}
-	if string(legacy) != string(v1) {
-		t.Errorf("alias responses diverge:\nlegacy %s\nv1     %s", legacy, v1)
-	}
-
-	for _, route := range []string{"/healthz", "/v1/healthz", "/stats", "/v1/stats"} {
+	for _, route := range []string{"/v1/healthz", "/v1/stats"} {
 		resp, err := http.Get(ts.URL + route)
 		if err != nil {
 			t.Fatalf("GET %s: %v", route, err)
@@ -49,12 +57,11 @@ func TestMethodNotAllowedCarriesAllow(t *testing.T) {
 	cases := []struct {
 		method, route, allow string
 	}{
-		{http.MethodGet, "/recommend", "POST"},
-		{http.MethodDelete, "/recommend", "POST"},
+		{http.MethodDelete, "/v1/recommend", "POST"},
 		{http.MethodGet, "/v1/recommend", "POST"},
 		{http.MethodPut, "/v1/recommend/batch", "POST"},
 		{http.MethodGet, "/v1/recommend/stream", "POST"},
-		{http.MethodPost, "/healthz", "GET"},
+		{http.MethodPost, "/v1/healthz", "GET"},
 		{http.MethodPost, "/v1/stats", "GET"},
 	}
 	for _, tc := range cases {

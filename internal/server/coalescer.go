@@ -1,8 +1,8 @@
 // Package server is the serving layer in front of the recommendation
 // engine: a request coalescer that buffers live single-group traffic
 // into RecommendBatch windows, and an HTTP front end exposing it. The
-// engine's shared candidate pools and CF row cache pay off when many
-// requests travel through one batch; the coalescer manufactures those
+// engine's shared candidate pools and sorted-list views pay off when
+// many requests travel through one batch; the coalescer manufactures those
 // batches from independent concurrent callers, trading a bounded
 // latency budget (the window) for batch amortization. See DESIGN.md's
 // "Serving layer" section.

@@ -178,8 +178,8 @@ func jsonShape(t *testing.T, data []byte) map[string]bool {
 // the responses of the in-process world at the same shard count —
 // single recommend, batch, the full SSE frame sequence, and the stats
 // shape — including after a rating ingested through the remote path.
-// The cached variants enable the router view cache and repeat every
-// stage against warm cache state: a cache hit must serve the same
+// The cached variants enable the router's view store and repeat every
+// stage against warm store state: a cache hit must serve the same
 // bytes as the wire fetch it replaced, before and after ingest.
 func TestRemoteDifferentialByteIdentical(t *testing.T) {
 	cases := []struct {
@@ -309,6 +309,7 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 					ViewCache        struct {
 						Hits     uint64 `json:"hits"`
 						Installs uint64 `json:"installs"`
+						Size     int    `json:"size"`
 					} `json:"view_cache"`
 				} `json:"remote"`
 			}
@@ -334,6 +335,9 @@ func TestRemoteDifferentialByteIdentical(t *testing.T) {
 				if parsed.Remote.ViewCache.Installs == 0 || parsed.Remote.ViewCache.Hits == 0 {
 					t.Errorf("warm passes did not exercise the view cache: %+v", parsed.Remote.ViewCache)
 				}
+			} else if vc := parsed.Remote.ViewCache; parsed.Remote.ViewCacheEnabled || vc.Installs != 0 || vc.Hits != 0 || vc.Size != 0 {
+				// RemoteViewCache 0: the router keeps no fetched view.
+				t.Errorf("router kept views with RemoteViewCache 0: enabled=%v %+v", parsed.Remote.ViewCacheEnabled, vc)
 			}
 		})
 	}
@@ -561,10 +565,14 @@ func TestStatsExposesRemoteTransportCounters(t *testing.T) {
 	if err := json.Unmarshal(raw.Remote["view_cache"], &viewCache); err != nil {
 		t.Fatalf("remote.view_cache: %v", err)
 	}
-	for _, key := range []string{"hits", "misses", "installs", "rejected", "invalidations", "evictions", "retained", "patched", "flushes", "size", "capacity"} {
+	viewCacheKeys := []string{"hits", "misses", "installs", "rejected", "invalidations", "evictions", "retained", "patched", "size", "capacity"}
+	for _, key := range viewCacheKeys {
 		if _, ok := viewCache[key]; !ok {
 			t.Errorf("remote.view_cache lacks %q; keys: %v", key, keysOf(viewCache))
 		}
+	}
+	if len(viewCache) != len(viewCacheKeys) {
+		t.Errorf("remote.view_cache keys %v, want exactly %v", keysOf(viewCache), viewCacheKeys)
 	}
 
 	// And the counters moved: the first recommend batched its view

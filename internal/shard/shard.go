@@ -1,8 +1,8 @@
 // Package shard is the user-range partitioning layer of the engine: a
 // Map routes dense user IDs onto N shards so every per-user data
 // structure — rating rows and rated-item bitsets (dataset), predictor
-// neighborhood caches and the prediction-row cache (cf), materialized
-// sorted-list views (liststore), and the affinity model's pair tables
+// neighborhood caches (cf), materialized sorted-list views
+// (liststore), and the affinity model's pair tables
 // (affinity) — can keep an independent arena, lock, and capacity
 // budget per shard. One request only ever touches the shards its
 // group members hash to, so invalidation or eviction pressure on one

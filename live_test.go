@@ -182,13 +182,11 @@ func TestAddRatingRejections(t *testing.T) {
 	}
 }
 
-// TestInvalidateUserViewsReportsAnyDrop is the regression for the
-// return-value hole: with the list store disabled, dropping cached
-// prediction rows must still report true — the old code answered for
-// the list store alone.
+// TestInvalidateUserViewsReportsAnyDrop pins the return value: true
+// exactly when derived state was dropped, false with nothing cached —
+// including a world whose list store is disabled.
 func TestInvalidateUserViewsReportsAnyDrop(t *testing.T) {
 	cfg := muxTestConfig()
-	cfg.ListStoreSize = -1 // row cache only
 	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -198,15 +196,14 @@ func TestInvalidateUserViewsReportsAnyDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !w.InvalidateUserViews(group[0]) {
-		t.Errorf("dropping cached rows with the list store disabled reported false")
+		t.Errorf("dropping a materialized view reported false")
 	}
 	if w.InvalidateUserViews(group[0]) {
 		t.Errorf("second invalidation with nothing cached reported true")
 	}
 
 	cfg = muxTestConfig()
-	cfg.ListStoreSize = -1
-	cfg.RowCacheSize = -1 // nothing to drop, ever
+	cfg.ListStoreSize = -1 // nothing to drop, ever
 	bare, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +212,7 @@ func TestInvalidateUserViewsReportsAnyDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if bare.InvalidateUserViews(group[0]) {
-		t.Errorf("world with both caches disabled reported a drop")
+		t.Errorf("world with the list store disabled reported a drop")
 	}
 }
 
@@ -346,18 +343,12 @@ func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 	run := func(full bool) CacheStats {
 		w := liveWorldCfg(t, base, 4, func(c *Config) { c.FullInvalidation = full })
 		// Warm broadly: views and neighborhoods through recommend traffic
-		// over disjoint groups, prediction rows directly through the
-		// cached source (the serving path only touches rows for
-		// candidates outside the list-store pool).
+		// over disjoint groups.
 		users := w.Ratings().Users()
-		rowItems := w.Ratings().Items()[:20]
 		for g := 0; g+3 <= 30; g += 3 {
 			if _, err := w.Recommend(users[g:g+3], Options{K: 5}); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, u := range users[:30] {
-			w.Source().PredictBatch(u, rowItems)
 		}
 		// One rating by one user on its least-popular unrated item — the
 		// smallest reach an ingest can have; most of the 30 warm users'
@@ -384,28 +375,24 @@ func TestScopedIngestKeepsCachesWarm(t *testing.T) {
 	if scoped.Neighborhoods.Invalidated == 0 {
 		t.Errorf("scoped ingest invalidated no neighborhoods — the rater's own must always drop")
 	}
-	if scoped.RowCache.Retained == 0 {
-		t.Errorf("scoped ingest retained no prediction rows: %+v", scoped.RowCache)
-	}
 	if scoped.ListStore.Retained == 0 {
 		t.Errorf("scoped ingest retained no sorted views: %+v", scoped.ListStore)
 	}
 	// The aggregate counters are exactly the per-shard sums.
-	var nbR, rowR, listR uint64
+	var nbR, listR uint64
 	for _, sh := range scoped.PerShard {
 		nbR += sh.Neighborhoods.Retained
-		rowR += sh.RowCache.Retained
 		listR += sh.ListStore.Retained
 	}
-	if nbR != scoped.Neighborhoods.Retained || rowR != scoped.RowCache.Retained || listR != scoped.ListStore.Retained {
-		t.Errorf("per-shard retained sums %d/%d/%d disagree with aggregates %d/%d/%d",
-			nbR, rowR, listR, scoped.Neighborhoods.Retained, scoped.RowCache.Retained, scoped.ListStore.Retained)
+	if nbR != scoped.Neighborhoods.Retained || listR != scoped.ListStore.Retained {
+		t.Errorf("per-shard retained sums %d/%d disagree with aggregates %d/%d",
+			nbR, listR, scoped.Neighborhoods.Retained, scoped.ListStore.Retained)
 	}
 
 	full := run(true)
-	if full.Neighborhoods.Retained != 0 || full.RowCache.Retained != 0 || full.ListStore.Retained != 0 {
-		t.Errorf("FullInvalidation retained cache state: %d neighborhoods / %d rows / %d views",
-			full.Neighborhoods.Retained, full.RowCache.Retained, full.ListStore.Retained)
+	if full.Neighborhoods.Retained != 0 || full.ListStore.Retained != 0 {
+		t.Errorf("FullInvalidation retained cache state: %d neighborhoods / %d views",
+			full.Neighborhoods.Retained, full.ListStore.Retained)
 	}
 	if full.Neighborhoods.Invalidated == 0 {
 		t.Errorf("FullInvalidation ingest recorded no invalidations")
@@ -492,7 +479,7 @@ func TestAddRatingTimeWeightedMatchesColdRebuild(t *testing.T) {
 	timeWeighted := func(c *Config) { c.TimeWeightedCF = true }
 	live := liveWorldCfg(t, base, 4, timeWeighted)
 	extra := liveExtraRatings(live, 2)
-	extra[0].Time = 2                    // back-dated: decay clock stays put
+	extra[0].Time = 2                     // back-dated: decay clock stays put
 	extra[1].Time = 978300000 + 1_000_000 // newest: decay clock advances
 	group := live.Participants()[:3]
 	if _, err := live.Recommend(group, Options{K: 5}); err != nil {

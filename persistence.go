@@ -39,11 +39,10 @@ type worldSnapshot struct {
 // excluded so tuning them keeps snapshots valid.
 func configFingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|%+v|%d|%d|%t|%t|%d|%v|%d|%d|%d|%d",
+	fmt.Fprintf(h, "%+v|%+v|%d|%d|%t|%t|%d|%v|%d|%d|%d",
 		cfg.Dataset, cfg.Social, cfg.Neighbors, cfg.Similarity,
 		cfg.ItemBasedCF, cfg.TimeWeightedCF, cfg.CFHalfLife,
-		cfg.Granularity, cfg.InitialPeriods, cfg.RowCacheSize,
-		cfg.ListStoreSize, cfg.Shards)
+		cfg.Granularity, cfg.InitialPeriods, cfg.ListStoreSize, cfg.Shards)
 	return h.Sum64()
 }
 

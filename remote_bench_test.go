@@ -21,7 +21,7 @@ import (
 
 // remoteBenchStack builds a router fronting nWorkers loopback workers
 // over a `shards`-way world, with the shards dealt round-robin.
-// viewCache sizes the router's remote view cache (0 = disabled, the
+// viewCache sizes the router's store of fetched views (0 = disabled, the
 // production default).
 func remoteBenchStack(b *testing.B, shards, nWorkers, viewCache int) *repro.World {
 	b.Helper()
@@ -125,10 +125,10 @@ func BenchmarkRecommendRemote(b *testing.B) {
 }
 
 // BenchmarkRecommendRemoteBatched is the same stack with the router's
-// apply-seq-coherent view cache enabled: the steady-state group mix
-// hits warm views, so the view-fetch RPCs drop toward zero and the
-// remaining wire cost is the prediction path. The delta against
-// BenchmarkRecommendRemote at the same split is what the cache buys.
+// view store enabled: the steady-state group mix hits warm views, so
+// the view-fetch RPCs drop toward zero and the remaining wire cost is
+// the prediction path. The delta against BenchmarkRecommendRemote at
+// the same split is what the store buys.
 func BenchmarkRecommendRemoteBatched(b *testing.B) {
 	cases := []struct{ shards, workers int }{
 		{1, 1},

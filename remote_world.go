@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cf"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/liststore"
 	"repro/internal/remote"
 )
@@ -48,17 +47,15 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 	// it, rejecting any larger claim before allocation.
 	set.LimitViewScores(len(w.ratings.PopularityRanked()))
 	w.remote = set
-	// Router view cache (opt-in via Config.RemoteViewCache): fetched
-	// views stick on the router, fenced against ingest by the apply
-	// bracket in addRating. NewViewCache returns nil when disabled, and
-	// every cache call site is nil-safe, so the default wiring is
-	// identical to PR 9's.
-	w.viewCache = engine.NewViewCache(w.cfg.RemoteViewCache, w.sm)
-	w.asm.AttachRemote(&remotePlane{
-		set:   set,
-		cache: w.viewCache,
-		pool:  w.ratings.PopularityRanked(),
-	})
+	// Router view store (opt-in via Config.RemoteViewCache): fetched
+	// views install into a sorted-list store over the same pool, swept
+	// by addRating like the local one. It never builds — every view
+	// arrives through Install — so its source is never called.
+	pool := w.ratings.PopularityRanked()
+	if w.cfg.RemoteViewCache > 0 {
+		w.remoteViews = liststore.NewSharded(w.source, pool, w.cfg.RemoteViewCache, prefDivisor, w.sm)
+	}
+	w.asm.AttachRemote(&remotePlane{set: set, views: w.remoteViews, pool: pool})
 	return nil
 }
 
@@ -66,14 +63,14 @@ func (w *World) AttachRemote(set *remote.ShardSet) error {
 func (w *World) Remote() *remote.ShardSet { return w.remote }
 
 // remotePlane adapts the shard-set client to the assembler's batched
-// data-plane seam, with the router view cache in front of the wire:
-// cached members are served locally, the misses fetch in one
+// data-plane seam, with the router's view store in front of the wire:
+// resident members are served locally, the misses fetch in one
 // worker-batched scatter, and fetched views install back into the
-// cache under the ingest fence taken before the fetch.
+// store under the sweep fence read before the fetch.
 type remotePlane struct {
 	set   *remote.ShardSet
-	cache *engine.ViewCache // nil when Config.RemoteViewCache disabled it
-	pool  []dataset.ItemID  // the popularity pool, for fallback-position reconstruction
+	views *liststore.Store // nil when Config.RemoteViewCache disabled it
+	pool  []dataset.ItemID // the popularity pool, for fallback-position reconstruction
 }
 
 func (p *remotePlane) ViewsMulti(group []dataset.UserID) ([]*liststore.View, error) {
@@ -83,9 +80,10 @@ func (p *remotePlane) ViewsMulti(group []dataset.UserID) ([]*liststore.View, err
 		missIdx   []int
 	)
 	for i, u := range group {
-		if v := p.cache.Get(u); v != nil {
-			out[i] = v
-			continue
+		if p.views != nil {
+			if out[i] = p.views.Lookup(u); out[i] != nil {
+				continue
+			}
 		}
 		missUsers = append(missUsers, u)
 		missIdx = append(missIdx, i)
@@ -93,10 +91,13 @@ func (p *remotePlane) ViewsMulti(group []dataset.UserID) ([]*liststore.View, err
 	if len(missUsers) == 0 {
 		return out, nil
 	}
-	// Fence token first, fetch second: if an ingest begins anywhere in
-	// between, the install is rejected and the fetched view serves only
+	// Fence token first, fetch second: if a sweep starts anywhere in
+	// between, the install is refused and the fetched view serves only
 	// this request — never a post-ingest one.
-	g0 := p.cache.Snapshot()
+	var token uint64
+	if p.views != nil {
+		token = p.views.SweepToken()
+	}
 	res, err := p.set.ViewScoresMulti(missUsers)
 	if err != nil {
 		return nil, err
@@ -104,8 +105,10 @@ func (p *remotePlane) ViewsMulti(group []dataset.UserID) ([]*liststore.View, err
 	for j, r := range res {
 		v := liststore.ViewFromScores(r.Scores)
 		out[missIdx[j]] = v
-		deps, depsKnown := p.reconstructDeps(r)
-		p.cache.TryInstall(missUsers[j], v, deps, depsKnown, g0)
+		if p.views != nil {
+			deps, depsKnown := p.reconstructDeps(r)
+			p.views.Install(missUsers[j], v, deps, depsKnown, token)
+		}
 	}
 	return out, nil
 }
@@ -195,11 +198,12 @@ func (b *ShardBackend) ViewScores(u dataset.UserID) ([]float64, error) {
 
 // ViewScoresDeps implements remote.Backend: u's view scores plus the
 // dependency metadata the build recorded — which pool positions fell
-// to the mean-fallback ladder — so the router's view cache can apply
+// to the mean-fallback ladder — so the router's view store can apply
 // the same scoped-invalidation verdicts the worker's own store would.
 // depsKnown is false when the metadata is unavailable (store disabled
-// with a non-deps source, or a snapshot-restored view); such views
-// cache fine but drop on the first ingest sweep.
+// with a non-deps source, a row from an untracked neighborhood, or a
+// snapshot-restored view); such views cache fine but drop on the first
+// ingest sweep.
 func (b *ShardBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, bool, error) {
 	if b.w.lists != nil {
 		v, deps, known := b.w.lists.AcquireWithDeps(u)
@@ -213,6 +217,7 @@ func (b *ShardBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, 
 	ds, known := b.w.source.(cf.DepsSource)
 	if known {
 		raw, deps = ds.PredictBatchDeps(u, pool)
+		known = !deps.Untracked
 	} else {
 		raw = b.w.source.PredictBatch(u, pool)
 	}
@@ -224,8 +229,8 @@ func (b *ShardBackend) ViewScoresDeps(u dataset.UserID) ([]float64, cf.RowDeps, 
 }
 
 // PredictBatch implements remote.Backend: raw (1..5 scale)
-// predictions through the worker's row cache, exactly the values the
-// router's own source would produce.
+// predictions from the worker's active predictor, exactly the values
+// the router's own source would produce.
 func (b *ShardBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([]float64, error) {
 	return b.w.source.PredictBatch(u, items), nil
 }
@@ -235,7 +240,7 @@ func (b *ShardBackend) PredictBatch(u dataset.UserID, items []dataset.ItemID) ([
 // — and ack with the replica's delta counters plus the invalidation
 // outcome: whether the replica swept scoped, and if so which of its
 // cached users went stale. The router merges the relayed verdicts
-// into its own to sweep the remote view cache — the cached views were
+// into its own to sweep its store of fetched views — those views were
 // built here, against this replica's caches, so this replica's stale
 // set (not the router's idle one) is the authoritative reach of the
 // ingest. Rejections unwrap to the dataset sentinels, which the
@@ -277,7 +282,6 @@ func (b *ShardBackend) ShardStats() []remote.ShardStats {
 		ps := per[sh]
 		out = append(out, remote.ShardStats{
 			Shard:         sh,
-			RowCache:      ps.RowCache,
 			ListStore:     ps.ListStore,
 			Neighborhoods: ps.Neighborhoods,
 		})

@@ -193,16 +193,12 @@ func TestCacheStatsPerShardSumsToAggregate(t *testing.T) {
 	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("stats shards = %d (%d entries), want 4", st.Shards, len(st.PerShard))
 	}
-	var row, nbhd struct{ hits, misses, evictions, size uint64 }
+	var nbhd struct{ hits, misses, evictions, size uint64 }
 	var views struct{ hits, builds, rebuilds, invalidations, evictions, size uint64 }
 	for i, ps := range st.PerShard {
 		if ps.Shard != i {
 			t.Errorf("per-shard entry %d labeled %d", i, ps.Shard)
 		}
-		row.hits += ps.RowCache.Hits
-		row.misses += ps.RowCache.Misses
-		row.evictions += ps.RowCache.Evictions
-		row.size += uint64(ps.RowCache.Size)
 		nbhd.hits += ps.Neighborhoods.Hits
 		nbhd.misses += ps.Neighborhoods.Misses
 		nbhd.evictions += ps.Neighborhoods.Evictions
@@ -213,10 +209,6 @@ func TestCacheStatsPerShardSumsToAggregate(t *testing.T) {
 		views.invalidations += ps.ListStore.Invalidations
 		views.evictions += ps.ListStore.Evictions
 		views.size += uint64(ps.ListStore.Size)
-	}
-	if row.hits != st.RowCache.Hits || row.misses != st.RowCache.Misses ||
-		row.evictions != st.RowCache.Evictions || row.size != uint64(st.RowCache.Size) {
-		t.Errorf("row-cache per-shard sum %+v != aggregate %+v", row, st.RowCache)
 	}
 	if nbhd.hits != st.Neighborhoods.Hits || nbhd.misses != st.Neighborhoods.Misses ||
 		nbhd.evictions != st.Neighborhoods.Evictions || nbhd.size != uint64(st.Neighborhoods.Size) {

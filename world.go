@@ -73,10 +73,6 @@ type Config struct {
 	// group's preference rows during problem assembly (GOMAXPROCS if
 	// 0, 1 forces fully sequential assembly).
 	AssemblyWorkers int
-	// RowCacheSize bounds the prediction-row cache shared by all
-	// Recommend traffic (cf.DefaultRowCacheCap if 0, negative
-	// disables the cache entirely).
-	RowCacheSize int
 	// ListStoreSize bounds the sorted-list store's materialized
 	// per-user preference views (liststore.DefaultMaxUsers if 0,
 	// negative disables the store: every problem then re-sorts its
@@ -84,27 +80,27 @@ type Config struct {
 	ListStoreSize int
 	// Shards partitions every per-user data structure — rating rows
 	// and rated-item bitsets, the predictors' neighborhood caches, the
-	// prediction-row cache, the sorted-list store, and the affinity
-	// model's pair tables — N ways by hashing on UserID (0 or 1 keeps
-	// today's single-shard layout, bit-identically; negative is an
-	// error). Sharding only changes where state lives and which locks
-	// traffic takes, never any computed value, so recommendations are
-	// identical for every shard count. Capacity budgets (RowCacheSize,
-	// ListStoreSize) are split across the shards.
+	// sorted-list store, and the affinity model's pair tables — N ways
+	// by hashing on UserID (0 or 1 keeps today's single-shard layout,
+	// bit-identically; negative is an error). Sharding only changes
+	// where state lives and which locks traffic takes, never any
+	// computed value, so recommendations are identical for every shard
+	// count. Capacity budgets (ListStoreSize, RemoteViewCache) are split
+	// across the shards.
 	Shards int
-	// RemoteViewCache bounds the router-side cache of views fetched
-	// from shard workers in distributed mode (AttachRemote): a group
-	// assembly whose members' views are cached skips the wire entirely,
-	// and rating ingest sweeps the cache with the same scoped verdicts
-	// the workers apply locally — fenced by the global apply sequence,
-	// so a cached view is always bit-identical to a fresh worker fetch.
-	// 0 (the default) and negative disable the cache; it is router-only
-	// state, excluded from the config fingerprint, and irrelevant
-	// in-process.
+	// RemoteViewCache bounds the router's sorted-list store of views
+	// fetched from shard workers in distributed mode (AttachRemote): a
+	// group assembly whose members' views are resident skips the wire
+	// entirely, and rating ingest sweeps the store with the same scoped
+	// verdicts the workers apply locally, behind the store's sweep
+	// fence, so a cached view is always bit-identical to a fresh worker
+	// fetch. 0 (the default) and negative keep no views on the router;
+	// it is router-only state, excluded from the config fingerprint,
+	// and irrelevant in-process.
 	RemoteViewCache int
 	// FullInvalidation reverts rating ingest to the drop-everything
-	// scheme: every cached neighborhood, prediction row, and sorted
-	// view is discarded on every AddRating, instead of the default
+	// scheme: every cached neighborhood and sorted view is discarded on
+	// every AddRating, instead of the default
 	// dependency-scoped invalidation that drops only the entries the
 	// new rating can reach. Both schemes serve bit-identical results —
 	// scoping is a pure cache-retention optimization — so this is an
@@ -178,11 +174,8 @@ type World struct {
 	// twPred is the time-weighted apref source (TimeWeightedCF mode).
 	twPred *cf.TimeWeightedPredictor
 	// source is the active absolute-preference source: the configured
-	// predictor, wrapped in the row cache unless disabled.
+	// predictor.
 	source cf.Source
-	// rowCache is the typed handle on source's row-cache wrapper; nil
-	// when Config.RowCacheSize disabled it.
-	rowCache *cf.CachedSource
 	// lists is the precomputed sorted-list store over the popularity
 	// pool; nil when Config.ListStoreSize disabled it.
 	lists *liststore.Store
@@ -230,10 +223,10 @@ type World struct {
 	// remoteFanoutMisses counts ingests whose owning worker missed
 	// the fanned-out write and was fenced.
 	remoteFanoutMisses atomic.Uint64
-	// viewCache is the router-side cache of worker-fetched views,
-	// fenced against ingest by its generation seqlock; nil unless
-	// AttachRemote enabled it (Config.RemoteViewCache > 0).
-	viewCache *engine.ViewCache
+	// remoteViews is the router's sorted-list store of worker-fetched
+	// views, fenced against ingest by the store's sweep counter; nil
+	// unless AttachRemote enabled it (Config.RemoteViewCache > 0).
+	remoteViews *liststore.Store
 }
 
 // NewWorld builds every substrate: ratings (loaded or generated), the
@@ -243,8 +236,8 @@ func NewWorld(cfg Config) (*World, error) {
 	w := &World{cfg: cfg}
 
 	// User-range partitioning: every per-user structure below routes
-	// through this one map, so a user's rating rows, cached rows,
-	// views, and pair entries all live on the same shard.
+	// through this one map, so a user's rating rows, neighborhood,
+	// view, and pair entries all live on the same shard.
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("repro: negative Shards %d", cfg.Shards)
 	}
@@ -351,32 +344,24 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 
 	// Preference layer: the active predictor behind the Source
-	// interface, wrapped in the bounded row cache unless disabled.
-	var base cf.Source = w.pred
+	// interface.
+	w.source = w.pred
 	switch {
 	case w.itemPred != nil:
-		base = w.itemPred
+		w.source = w.itemPred
 	case w.twPred != nil:
-		base = w.twPred
-	}
-	w.source = base
-	if cfg.RowCacheSize >= 0 {
-		w.rowCache = cf.NewCachedSourceSharded(base, cfg.RowCacheSize, w.sm)
-		w.source = w.rowCache
+		w.source = w.twPred
 	}
 	w.asm = engine.New(w.source, cfg.AssemblyWorkers)
 	w.asm.AttachShards(w.sm)
 
 	// Sorted-list store: built at load over the frozen popularity
 	// ranking (views materialize lazily per user, bounded by a CLOCK
-	// policy). Views build straight from the base predictor, not the
-	// row cache — a full-pool row would otherwise be installed per
-	// user under a fingerprint request traffic never asks for again,
-	// evicting hot request rows. The World owns the store lifecycle —
-	// rating ingest must route through InvalidateUserViews so stale
-	// views are rebuilt.
+	// policy). It is the world's one per-user view cache; the World
+	// owns its lifecycle, and rating ingest sweeps it so stale views
+	// are rebuilt.
 	if cfg.ListStoreSize >= 0 {
-		w.lists = liststore.NewSharded(base, w.ratings.PopularityRanked(), cfg.ListStoreSize, prefDivisor, w.sm)
+		w.lists = liststore.NewSharded(w.source, w.ratings.PopularityRanked(), cfg.ListStoreSize, prefDivisor, w.sm)
 		if w.lists != nil {
 			w.asm.AttachListStore(w.lists)
 		}
@@ -458,8 +443,7 @@ func (w *World) SocialNetwork() *social.Network { return w.socialNet }
 func (w *World) Predictor() *cf.Predictor { return w.pred }
 
 // Source returns the active absolute-preference source — the
-// configured predictor behind the cf.Source interface, wrapped in the
-// prediction-row cache unless Config.RowCacheSize disabled it.
+// configured predictor behind the cf.Source interface.
 func (w *World) Source() cf.Source { return w.source }
 
 // ListStore returns the sorted-list store, or nil when
@@ -470,8 +454,8 @@ func (w *World) ListStore() *liststore.Store { return w.lists }
 func (w *World) Shards() int { return w.sm.N() }
 
 // ShardOf returns the shard index holding u's per-user state — the
-// routing every layer of the world agrees on (rating arena, cached
-// rows, sorted-list view, and the pair tables of pairs where u is the
+// routing every layer of the world agrees on (rating arena,
+// neighborhood, sorted-list view, and the pair tables of pairs where u is the
 // lower member).
 func (w *World) ShardOf(u dataset.UserID) int { return w.sm.Of(int64(u)) }
 
@@ -511,10 +495,9 @@ func (w *World) SetRatingLog(l RatingLog) {
 // index names the cached users that co-rate with u, each gets a
 // one-similarity recheck, and only the neighborhoods the rating
 // actually reaches are dropped (epoch-fenced against in-flight fills
-// re-installing pre-ingest results). The row cache and sorted-list
-// store then sweep with the same stale set plus their own fallback
-// metadata: rows and views of unaffected users stay warm, and retained
-// views whose only dependence on the rated item is its mean fallback
+// re-installing pre-ingest results). The sorted-list store then sweeps
+// with the same stale set plus its fallback metadata: views of
+// unaffected users stay warm, and retained views whose only dependence on the rated item is its mean fallback
 // are patched in place (the new item mean spliced into the canonical
 // sort) instead of rebuilt. Every retained or patched entry is
 // bit-identical to what a cold rebuild would produce — scoping never
@@ -533,8 +516,8 @@ func (w *World) AddRating(r dataset.Rating) error {
 // the stale-user verdicts and the rated item's post-ingest mean (the
 // splice value for retained fallback entries). The distributed layers
 // relay it — workers ack it back to the router, and the router merges
-// local and relayed outcomes to sweep its remote view cache with the
-// exact verdicts the workers applied.
+// local and relayed outcomes to sweep its store of fetched views with
+// the exact verdicts the workers applied.
 type ingestOutcome struct {
 	scoped    bool
 	stale     map[dataset.UserID]struct{}
@@ -548,11 +531,6 @@ type ingestOutcome struct {
 func (w *World) addRating(r dataset.Rating) (ingestOutcome, error) {
 	w.ingestMu.Lock()
 	defer w.ingestMu.Unlock()
-	// Open the view-cache ingest bracket before any state moves: from
-	// here until End, the generation is odd and no in-flight remote
-	// fetch can install a pre-ingest view. A no-op without the cache.
-	w.viewCache.Begin()
-	defer w.viewCache.End()
 	out, err := w.applyRating(r)
 	if err != nil {
 		return ingestOutcome{}, err
@@ -582,17 +560,18 @@ func (w *World) addRating(r dataset.Rating) (ingestOutcome, error) {
 		if ferr != nil {
 			w.remoteFanoutMisses.Add(1)
 		}
-		// Sweep the remote view cache with the merged verdicts. The
-		// cached views were built on the workers, whose neighborhood
-		// caches differ from the router's idle local ones, so the
-		// workers' relayed stale sets — not just the local one — decide
-		// which cached views the ingest reached. Only a fully scoped
+		// Sweep the router's store of fetched views with the merged
+		// verdicts. The views were built on the workers, whose
+		// neighborhood caches differ from the router's idle local ones,
+		// so the workers' relayed stale sets — not just the local one —
+		// decide which views the ingest reached. Only a fully scoped
 		// outcome (local AND every attempted replica) sweeps scoped;
 		// anything weaker (a full-invalidation verdict anywhere, a
-		// failed delivery, an old-protocol ack) flushes the cache
-		// wholesale. Either way no stale byte can serve: the bracket's
-		// fence already blocks pre-ingest installs.
-		if w.viewCache != nil {
+		// failed delivery, an old-protocol ack) drops every view.
+		// Either way no stale byte can serve: the sweep bumps the
+		// store's fence, so a view fetched before it never installs
+		// after it.
+		if w.remoteViews != nil {
 			if out.scoped && scope.Scoped {
 				stale := out.stale
 				if len(scope.Stale) > 0 {
@@ -605,9 +584,9 @@ func (w *World) addRating(r dataset.Rating) (ingestOutcome, error) {
 					}
 					stale = merged
 				}
-				w.viewCache.SweepScoped(stale, r.Item, out.patch, out.havePatch, prefDivisor)
+				w.remoteViews.InvalidateScoped(stale, r.Item, out.patch, out.havePatch)
 			} else {
-				w.viewCache.Flush()
+				w.remoteViews.InvalidateAll()
 			}
 		}
 	}
@@ -636,9 +615,6 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 		if w.twPred != nil {
 			w.twPred.Refresh()
 		}
-		if w.rowCache != nil {
-			w.rowCache.InvalidateAll()
-		}
 		if w.lists != nil {
 			w.lists.InvalidateAll()
 		}
@@ -649,10 +625,10 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 	// backs the default and time-weighted apref sources and serves
 	// similarity queries (group formation) in every mode, so its means,
 	// norms, and dependency-tracked neighborhoods must stay coherent
-	// regardless of which source the row cache wraps.
+	// regardless of which source is active.
 	scope := w.pred.NoteIngestScoped(r.User, r.Item)
-	// scopedRows: whether the rows/views layered over the apref source
-	// can sweep scoped. True for the user-based source; false when the
+	// scopedRows: whether the views layered over the apref source can
+	// sweep scoped. True for the user-based source; false when the
 	// source's reach cannot be bounded by the user dependency set.
 	scopedRows := true
 	switch {
@@ -660,23 +636,20 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 		// Item-based aprefs: the stale item neighborhoods are exactly
 		// the items the rater has rated (scoped drop), but a changed
 		// item neighborhood shifts predictions for every user that
-		// rated a similar item — no per-user stale set bounds the rows
-		// and views, so they drop wholesale.
+		// rated a similar item — no per-user stale set bounds the
+		// views, so they drop wholesale.
 		w.itemPred.NoteIngestScoped(r.User)
 		scopedRows = false
 	case w.twPred != nil:
 		// Time-weighted aprefs: if the new rating advanced the
-		// reference clock, every decay weight shifted and every row and
-		// view is stale. An unmoved clock leaves retained users'
+		// reference clock, every decay weight shifted and every view is
+		// stale. An unmoved clock leaves retained users'
 		// weights bit-identical, so the scoped sweep applies.
 		if w.twPred.RefreshScoped() {
 			scopedRows = false
 		}
 	}
 	if !scopedRows {
-		if w.rowCache != nil {
-			w.rowCache.InvalidateAll()
-		}
 		if w.lists != nil {
 			w.lists.InvalidateAll()
 		}
@@ -688,9 +661,6 @@ func (w *World) applyRating(r dataset.Rating) (ingestOutcome, error) {
 	// source shares the base predictor's mean tables, so the same patch
 	// value serves both modes.
 	patch, havePatch := w.pred.ItemMean(r.Item)
-	if w.rowCache != nil {
-		w.rowCache.InvalidateScoped(scope.Stale, r.Item, patch, havePatch)
-	}
 	if w.lists != nil {
 		w.lists.InvalidateScoped(scope.Stale, r.Item, patch, havePatch)
 	}
@@ -715,36 +685,29 @@ func (w *World) ReFreeze() int {
 // ratings folded.
 func (w *World) IngestStats() dataset.DeltaStats { return w.ratings.DeltaStats() }
 
-// InvalidateUserViews drops u's materialized sorted-preference view
-// AND u's cached prediction rows, so u's next request re-predicts and
-// rebuilds rather than reading a stale cached row. It reports whether
-// any derived state was actually dropped — a view, a cached row, or
-// both; with both caches disabled (or empty of u) it returns false.
+// InvalidateUserViews drops u's materialized sorted-preference view,
+// so u's next request rebuilds it. It reports whether a view was
+// actually dropped; with the store disabled (or empty of u) it returns
+// false.
 //
-// The call is shard-aware: both drops route through the world's shard
-// map and lock only u's shard — the row-cache part and list-store
-// sub-store of ShardOf(u) — so an invalidation storm against one
-// shard never blocks requests serving entirely from the others.
+// The call is shard-aware: the drop routes through the world's shard
+// map and locks only the list-store sub-store of ShardOf(u), so an
+// invalidation storm against one shard never blocks requests serving
+// entirely from the others.
 //
 // Scope: this invalidates *this user's* derived state only — the
-// right tool when a single user's rows are suspect (tests, targeted
+// right tool when a single user's view is suspect (tests, targeted
 // cache management). It is NOT the rating-ingest hook: ingest changes
 // sim(v, u) for every other user v, so the predictors' neighborhood
-// caches and every other user's rows go stale too. AddRating performs
-// that global drop; use it for anything that changes ratings.
+// caches and every other user's views go stale too. AddRating performs
+// that global sweep; use it for anything that changes ratings.
 func (w *World) InvalidateUserViews(u dataset.UserID) bool {
-	dropped := false
-	if w.rowCache != nil && w.rowCache.InvalidateUser(u) > 0 {
-		dropped = true
-	}
-	if w.lists != nil && w.lists.Invalidate(u) {
-		dropped = true
-	}
+	dropped := w.lists != nil && w.lists.Invalidate(u)
 	// Distributed mode: the user's served view lives on its owning
-	// worker; drop it there too, along with any router-cached copy.
+	// worker; drop it there too, along with any router-held copy.
 	// Best-effort — an unreachable owner's shards fail reads anyway, so
 	// there is no stale view to serve.
-	if w.viewCache.Invalidate(u) {
+	if w.remoteViews != nil && w.remoteViews.Invalidate(u) {
 		dropped = true
 	}
 	if w.remote != nil {
@@ -756,9 +719,9 @@ func (w *World) InvalidateUserViews(u dataset.UserID) bool {
 }
 
 // RemoteStats is the distributed transport's observability surface
-// for /v1/stats: the shard-set's wire counters plus the router view
-// cache's. Zero-valued in-process (the serving layer reports the
-// section only when a fleet is attached).
+// for /v1/stats: the shard-set's wire counters plus the router's store
+// of fetched views. Zero-valued in-process (the serving layer reports
+// the section only when a fleet is attached).
 type RemoteStats struct {
 	// Attached reports whether a worker fleet is attached at all.
 	Attached bool `json:"attached"`
@@ -766,10 +729,33 @@ type RemoteStats struct {
 	// batched vs single reads, retries, breaker opens, dials vs
 	// connection reuses.
 	Transport remote.TransportStats `json:"transport"`
-	// ViewCacheEnabled reports whether the router view cache is on
-	// (Config.RemoteViewCache > 0); ViewCache is zero when it is not.
-	ViewCacheEnabled bool                  `json:"view_cache_enabled"`
-	ViewCache        engine.ViewCacheStats `json:"view_cache"`
+	// ViewCacheEnabled reports whether the router keeps fetched views
+	// (Config.RemoteViewCache > 0); ViewCache is zero when it does not.
+	ViewCacheEnabled bool           `json:"view_cache_enabled"`
+	ViewCache        ViewCacheStats `json:"view_cache"`
+}
+
+// ViewCacheStats is the router store's counters in /v1/stats form.
+type ViewCacheStats struct {
+	// Hits counts member views served by the store; Misses the ones
+	// the data plane had to fetch over the wire.
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Installs counts fetched views the store kept; Rejected counts
+	// installs its sweep fence refused (an ingest swept between fetch
+	// and install) — rejected views still serve their own request.
+	Installs uint64 `json:"installs"`
+	Rejected uint64 `json:"rejected"`
+	// Invalidations, Evictions, Retained and Patched are the store's
+	// lifecycle counters, as in liststore.Stats.
+	Invalidations uint64 `json:"invalidations"`
+	Evictions     uint64 `json:"evictions"`
+	Retained      uint64 `json:"retained"`
+	Patched       uint64 `json:"patched"`
+	// Size is the number of resident views; Capacity the configured
+	// bound.
+	Size     int `json:"size"`
+	Capacity int `json:"capacity"`
 }
 
 // RemoteStats snapshots the distributed transport counters. The
@@ -780,25 +766,35 @@ func (w *World) RemoteStats() RemoteStats {
 	if w.remote == nil {
 		return RemoteStats{Transport: remote.EmptyTransportStats()}
 	}
-	return RemoteStats{
-		Attached:         true,
-		Transport:        w.remote.TransportStats(),
-		ViewCacheEnabled: w.viewCache != nil,
-		ViewCache:        w.viewCache.Stats(),
+	st := RemoteStats{Attached: true, Transport: w.remote.TransportStats()}
+	if w.remoteViews != nil {
+		ls := w.remoteViews.Stats()
+		st.ViewCacheEnabled = true
+		st.ViewCache = ViewCacheStats{
+			Hits:          ls.ViewHits,
+			Misses:        ls.LookupMisses,
+			Installs:      ls.Installs,
+			Rejected:      ls.Rejected,
+			Invalidations: ls.Invalidations,
+			Evictions:     ls.Evictions,
+			Retained:      ls.Retained,
+			Patched:       ls.Patched,
+			Size:          ls.Size,
+			Capacity:      w.cfg.RemoteViewCache,
+		}
 	}
+	return st
 }
 
-// CacheStats aggregates the engine's cache counters — the prediction-
-// row cache, the sorted-list store, and the active predictor's lazy
-// neighborhood cache — for the serving layer's /stats endpoint and any
+// CacheStats aggregates the engine's cache counters — the sorted-list
+// store and the active predictor's lazy neighborhood cache — for the serving layer's /stats endpoint and any
 // other observability consumer. The aggregate fields are exactly the
 // sums of the PerShard breakdown (the counters are per-shard at the
 // source; the aggregate is computed from them).
 type CacheStats struct {
-	// RowCacheEnabled reports whether the prediction-row cache is on
-	// (Config.RowCacheSize >= 0). RowCache is zero when it is not.
-	RowCacheEnabled bool `json:"row_cache_enabled"`
-	// RowCache counts the cf.CachedSource prediction-row cache.
+	// RowCache is retired: it counted the prediction-row cache, which
+	// the sorted-list store replaced, and now always reports zero. It
+	// stays so consumers decoding /v1/stats keep working.
 	RowCache cf.CacheStats `json:"row_cache"`
 	// ListStoreEnabled reports whether the sorted-list store is on
 	// (Config.ListStoreSize >= 0). ListStore is zero when it is not.
@@ -821,12 +817,11 @@ type CacheStats struct {
 }
 
 // ShardCacheStats is one shard's slice of the cache counters: the
-// shard's row-cache part, list-store sub-store, and neighborhood-cache
-// instance. Disabled caches report zero values, mirroring the
-// aggregate struct's convention.
+// shard's list-store sub-store and neighborhood-cache instance.
+// Disabled caches report zero values, mirroring the aggregate struct's
+// convention.
 type ShardCacheStats struct {
 	Shard         int                  `json:"shard"`
-	RowCache      cf.CacheStats        `json:"row_cache"`
 	ListStore     liststore.ShardStats `json:"list_store"`
 	Neighborhoods cf.CacheStats        `json:"neighborhoods"`
 }
@@ -842,12 +837,6 @@ func (w *World) CacheStats() CacheStats {
 	st.PerShard = make([]ShardCacheStats, st.Shards)
 	for i := range st.PerShard {
 		st.PerShard[i].Shard = i
-	}
-	if w.rowCache != nil {
-		st.RowCacheEnabled = true
-		for i, s := range w.rowCache.StatsByShard() {
-			st.PerShard[i].RowCache = s
-		}
 	}
 	if w.lists != nil {
 		st.ListStoreEnabled = true
@@ -876,11 +865,9 @@ func (w *World) CacheStats() CacheStats {
 		rs, ok, _ := w.remote.StatsByShard()
 		for i := range st.PerShard {
 			if ok[i] {
-				st.PerShard[i].RowCache = rs[i].RowCache
 				st.PerShard[i].ListStore = rs[i].ListStore
 				st.PerShard[i].Neighborhoods = rs[i].Neighborhoods
 			} else {
-				st.PerShard[i].RowCache = cf.CacheStats{}
 				st.PerShard[i].ListStore = liststore.ShardStats{}
 				st.PerShard[i].Neighborhoods = cf.CacheStats{}
 			}
@@ -899,20 +886,11 @@ func (w *World) CacheStats() CacheStats {
 	// Aggregates are the sums of the per-shard snapshots, so the two
 	// levels can never disagree.
 	for _, ps := range st.PerShard {
-		st.RowCache.Hits += ps.RowCache.Hits
-		st.RowCache.Misses += ps.RowCache.Misses
-		st.RowCache.Evictions += ps.RowCache.Evictions
-		st.RowCache.Size += ps.RowCache.Size
-		st.RowCache.Invalidated += ps.RowCache.Invalidated
-		st.RowCache.Retained += ps.RowCache.Retained
-		st.RowCache.Patched += ps.RowCache.Patched
 		st.Neighborhoods.Hits += ps.Neighborhoods.Hits
 		st.Neighborhoods.Misses += ps.Neighborhoods.Misses
-		st.Neighborhoods.Evictions += ps.Neighborhoods.Evictions
 		st.Neighborhoods.Size += ps.Neighborhoods.Size
 		st.Neighborhoods.Invalidated += ps.Neighborhoods.Invalidated
 		st.Neighborhoods.Retained += ps.Neighborhoods.Retained
-		st.Neighborhoods.Patched += ps.Neighborhoods.Patched
 	}
 	return st
 }
